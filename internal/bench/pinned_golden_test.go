@@ -5,6 +5,7 @@ import (
 
 	"ityr"
 	"ityr/internal/apps/halo"
+	"ityr/internal/fault"
 )
 
 // The digests below were captured on the commit preceding the per-rank
@@ -65,6 +66,77 @@ func TestPinnedHaloDigests(t *testing.T) {
 				t.Errorf("halo %dx%d steps=%d procs=%d diverged from pre-diet capture:\n  pinned: %s\n  got:    %s",
 					cfg.Ranks, cfg.CellsPerRank, cfg.Steps, procs, tc.want, got)
 			}
+		}
+	}
+}
+
+// pinnedBranchDigests pin the scheduler's idle-loop branches across
+// versions, not just run to run: the non-default policies, both victim
+// selection knobs, the sharded host, every canned fault plan (with
+// blacklisting, as faultDigest arms it) and the single-rank region that
+// never steals. They were captured before the idle loop moved into the
+// event kernel as an inline step; a mismatch means that move (or a later
+// change) altered a simulated schedule.
+var pinnedBranchDigests = []struct {
+	name string
+	cfg  func() ityr.Config
+	want string
+}{
+	{"help-first", func() ityr.Config {
+		cfg := smokeConfig()
+		cfg.Sched.Policy = ityr.HelpFirst
+		return cfg
+	}, "elapsed=620418 final=703158 events=15604 fnv=b2ad9b4d8cea81ba"},
+	{"fbc", func() ityr.Config {
+		cfg := smokeConfig()
+		cfg.Sched.Policy = ityr.FBC
+		return cfg
+	}, "elapsed=690298 final=773038 events=15812 fnv=3f6834f324a0f188"},
+	{"locality-aware", func() ityr.Config {
+		cfg := smokeConfig()
+		cfg.Sched.LocalityAware = true
+		return cfg
+	}, "elapsed=481047 final=563787 events=13588 fnv=cf34ed23c8ad101e"},
+	{"victim-blacklist", func() ityr.Config {
+		cfg := smokeConfig()
+		cfg.Sched.VictimBlacklist = true
+		return cfg
+	}, "elapsed=606044 final=688784 events=13419 fnv=12f59ff7bdacdca1"},
+	{"host-procs-4", func() ityr.Config {
+		cfg := smokeConfig()
+		cfg.HostProcs = 4
+		return cfg
+	}, "elapsed=597253 final=679993 events=13415 fnv=c0b23cefbbe25faa"},
+	{"link-degraded", func() ityr.Config { return blacklistPlanConfig(fault.PlanLinkDegraded(11)) }, "elapsed=824470 final=911786 events=13307 fnv=153f70b0b534e524"},
+	{"flaky-rma", func() ityr.Config { return blacklistPlanConfig(fault.PlanFlakyRMA(11)) }, "elapsed=599706 final=688451 events=13462 fnv=a488e723e8b0b6a2"},
+	{"straggler", func() ityr.Config { return blacklistPlanConfig(fault.PlanStraggler(11)) }, "elapsed=918610 final=1008010 events=13556 fnv=010ae1661ccf67db"},
+	{"one-rank", func() ityr.Config {
+		return runtimeConfig(1, Smoke.CoresPerNode, ityr.WriteBackLazy, 11)
+	}, "elapsed=2282726 final=2321744 events=12564 fnv=a295c631a6a11550"},
+}
+
+// smokeConfig is the kernel-digest runtime config (Write-Back (Lazy)).
+func smokeConfig() ityr.Config {
+	return runtimeConfig(Smoke.FixedRanks, Smoke.CoresPerNode, ityr.WriteBackLazy, 11)
+}
+
+// blacklistPlanConfig is faultDigest's config for plan: blacklisting on.
+func blacklistPlanConfig(plan fault.Plan) ityr.Config {
+	cfg := smokeConfig()
+	cfg.Faults = &plan
+	cfg.Sched.VictimBlacklist = true
+	return cfg
+}
+
+func TestPinnedBranchDigests(t *testing.T) {
+	if n := len(fault.CannedPlans(11)); n != 3 {
+		t.Fatalf("CannedPlans grew to %d plans; pin the new one here", n)
+	}
+	for _, tc := range pinnedBranchDigests {
+		got := configDigest(t, tc.cfg(), Smoke.CilksortN, Smoke.Cutoffs[0])
+		if got != tc.want {
+			t.Errorf("%s: digest diverged from the pinned capture:\n  pinned: %s\n  got:    %s",
+				tc.name, tc.want, got)
 		}
 	}
 }
