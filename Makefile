@@ -69,10 +69,12 @@ validate:
 	$(GO) test -count=1 -run 'TestValidator|TestSetPolicy' ./internal/core
 	$(GO) test -count=1 -race -run 'TestValidatorShardParity' ./internal/core
 
-# Host-side kernel throughput (not part of check: timing-sensitive).
+# Host-side kernel throughput and the idle scheduler's cost per failed
+# steal (not part of check: timing-sensitive).
 bench:
 	$(GO) test -bench BenchmarkSimEngine -run xxx ./internal/sim
 	$(GO) test -bench BenchmarkRMAOps -run xxx ./internal/rma
+	$(GO) test -bench BenchmarkFailedSteal -run xxx ./internal/uth
 
 hostperf:
 	$(GO) run ./cmd/itybench -hostperf BENCH_sim.json -count 3 -procs 8 -scaling -fleet 64

@@ -9,15 +9,16 @@ import (
 
 // Per-rank budgets on the rank-setup path (ityr.NewRuntime at 16,384
 // ranks): the guardrail for ROADMAP item 1's "memory footprint must stay
-// affordable at 16K ranks". Measured after the diet: ~6.98 KB retained and
-// ~7 heap objects per rank, flat from 1K to 16K ranks (the pre-diet
-// per-rank maps and O(n²) communicator state blow straight through this).
-// Budgets are pinned ~50% above the measurement so legitimate feature work
-// has headroom while a reintroduced per-rank map or ragged slice fails.
+// affordable at 16K ranks". Measured once the scheduler seeds each
+// worker's victim-selection generator on its first steal instead of at
+// construction: ~1.70 KB retained and 5 heap objects per rank (the eager
+// generator alone was ~4.9 KB and 2 objects). Budgets are pinned ~50%
+// above the measurement so legitimate feature work has headroom while a
+// reintroduced per-rank map, ragged slice or eager generator fails.
 const (
 	budgetRanks           = 16384
-	budgetBytesPerRank    = 10 * 1024
-	budgetMallocsPerRank  = 16
+	budgetBytesPerRank    = 2560
+	budgetMallocsPerRank  = 8
 	budgetSetupTotalBytes = budgetRanks * budgetBytesPerRank
 )
 

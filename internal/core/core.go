@@ -441,7 +441,8 @@ func (h hooks) span(rank int, k trace.Kind, arg int64, fn func()) {
 	h.trace.RecSpan(t0, h.eng.Now()-t0, rank, k, arg, 0)
 }
 
-func (h hooks) Poll(rank int) { h.space.Local(rank).Poll() }
+func (h hooks) Poll(rank int)             { h.space.Local(rank).Poll() }
+func (h hooks) PollPending(rank int) bool { return h.space.Local(rank).PollPending() }
 func (h hooks) OnFork(rank int) any {
 	return h.space.Local(rank).ReleaseLazy()
 }

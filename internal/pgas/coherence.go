@@ -202,12 +202,16 @@ func (l *Local) invalidateAll() {
 // write-back (requestEpoch > currentEpoch), perform it now. The threading
 // layer calls Poll at every fork, join and idle-loop iteration.
 func (l *Local) Poll() {
-	if l.space.cfg.Policy != WriteBackLazy {
-		return
-	}
-	if l.CurrentEpoch() < l.requestEpoch() {
+	if l.PollPending() {
 		l.writeBackAll(prof.CatLazyRelease)
 	}
+}
+
+// PollPending reports whether Poll has a requested write-back to perform.
+// It only compares the local epochs: it never advances virtual time, and
+// when it returns false Poll is a no-op.
+func (l *Local) PollPending() bool {
+	return l.space.cfg.Policy == WriteBackLazy && l.CurrentEpoch() < l.requestEpoch()
 }
 
 // DirtyBytes reports the number of dirty bytes awaiting write-back.

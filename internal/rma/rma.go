@@ -458,12 +458,35 @@ func (r *Rank) sdcWire(src, landed []byte, target int) {
 
 // ChargeAtomic charges the full origin-side cost of one remote atomic to
 // target: fault-injected retries, then the (possibly perturbed) atomic
-// round trip. Exported for the threading layer, whose steal protocol
-// performs its own deque compare-and-swap outside any window.
+// round trip. Exported for the threading layer, which performs remote
+// atomics outside any window (FBC join notifications, replica probes); its
+// steal protocol's deque compare-and-swap uses the split form below.
 func (r *Rank) ChargeAtomic(target int) {
+	r.proc.Advance(r.AtomicStart(target))
+	r.AtomicDone(target)
+}
+
+// AtomicStart is the first half of ChargeAtomic, for callers that sleep
+// through the round trip themselves (the scheduler's inline idle step): it
+// charges any fault-injected retries, which may block, and returns the
+// round-trip time the caller must then advance by before AtomicDone. It
+// never blocks when AtomicNonBlocking(target) holds.
+func (r *Rank) AtomicStart(target int) sim.Time {
 	r.retryFaults(target)
-	r.proc.Advance(r.c.net.AtomicTimeAt(r.proc.Now(), r.id, target))
+	return r.c.net.AtomicTimeAt(r.proc.Now(), r.id, target)
+}
+
+// AtomicDone completes an atomic begun with AtomicStart once its round
+// trip has elapsed.
+func (r *Rank) AtomicDone(target int) {
 	r.c.prof.RMA(r.id, target, profile.OpAtomic, 8)
+}
+
+// AtomicNonBlocking reports whether AtomicStart(target) is free of
+// fault-injected retries and so never blocks: no fault plan is armed, or
+// the target is this rank.
+func (r *Rank) AtomicNonBlocking(target int) bool {
+	return r.c.inj == nil || target == r.id
 }
 
 // ChargeTransfer charges the cost of a blocking nbytes transfer from

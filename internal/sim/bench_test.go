@@ -59,6 +59,30 @@ func BenchmarkSimEnginePingPong(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 }
 
+// advance-loop: the ping-pong shape with one side sleeping through
+// AdvanceLoop, so the kernel runs its steps inline on the other side's
+// goroutine — the idle-scheduler regime, with no handoffs at all.
+func BenchmarkSimEngineAdvanceLoop(b *testing.B) {
+	e := NewEngine()
+	e.Spawn("p", func(p *Proc) {
+		for i := 0; i < b.N/2; i++ {
+			p.Advance(10)
+		}
+	})
+	e.Spawn("sleeper", func(p *Proc) {
+		n := 0
+		p.AdvanceLoop(10, func() (Time, bool) {
+			n++
+			return 10, n < b.N/2
+		})
+	})
+	b.ResetTimer()
+	if err := e.Run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+}
+
 // park-wake: a producer/consumer pair exercising Park, Wake and the
 // resulting same-instant resume events.
 func BenchmarkSimEngineParkWake(b *testing.B) {

@@ -375,6 +375,9 @@ func (e *Engine) runGlobalPhase() (done bool) {
 			ev.fire()
 			continue
 		}
+		if ev.proc.step != nil && !e.runStep(ev.proc) {
+			continue
+		}
 		e.transfer(ev.proc)
 		<-e.root
 	}
@@ -402,6 +405,9 @@ func (e *Engine) globalDispatch(self *Proc) {
 			e.current = nil
 			e.stats.Callbacks++
 			ev.fire()
+			continue
+		}
+		if ev.proc.step != nil && !e.runStep(ev.proc) {
 			continue
 		}
 		if ev.proc == self {
@@ -552,7 +558,7 @@ func (s *shard) dispatch(self *Proc) {
 func (p *Proc) advanceSharded(d Time) {
 	e := p.eng
 	if !e.sh.parallel {
-		if d > 0 && (len(e.queue) == 0 || e.queue[0].at > e.now+d) {
+		if e.fastAdvance(d) {
 			e.now += d
 			e.stats.FastAdvances++
 			return
