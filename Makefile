@@ -7,9 +7,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test shuffle race race-all golden faults sdc validate bench hostperf docscheck linkcheck perf perfgate perf-baseline taskbench taskbench-baseline
+.PHONY: check fmt vet build test shuffle race race-all golden faults sdc validate bench hostperf docscheck linkcheck perf perfgate perf-baseline taskbench taskbench-baseline perfbench-test
 
-check: fmt vet build test shuffle race golden faults sdc validate docscheck linkcheck perfgate taskbench
+check: fmt vet build test shuffle race golden faults sdc validate docscheck linkcheck perfgate taskbench perfbench-test
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -23,6 +23,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The benchmark module (perfbench/) is nested, so the root `go build ./...`,
+# `go vet ./...` and `go test ./...` skip it: build, vet and test it here so
+# that a change to an internal API cannot silently break the benchmark.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Same suite in a shuffled order to flush test-order dependencies.
 # -count=1 defeats the cache (a cached run would reuse the ordered pass).

@@ -218,46 +218,64 @@ func TestAdvanceLoopTimeScaleFlip(t *testing.T) {
 
 // TestAdvanceLoopNoHandoffsBesideBusyProc is the point of the primitive:
 // a sleeper whose every wake-up interleaves with another process's
-// Advances costs no baton transfers at all while it sleeps.
+// Advances costs no baton transfers at all while it sleeps. On two
+// shards with no pin held, both processes share shard 0 and run in
+// parallel rounds, whose lane runs the step inline just the same. Stats
+// is not safe to call mid-round, so there the whole run's handoffs are
+// counted after Run: the few that start and finish the two processes.
 func TestAdvanceLoopNoHandoffsBesideBusyProc(t *testing.T) {
-	for _, inline := range []bool{false, true} {
-		e := NewEngine()
-		var h0, h1 uint64
-		e.Spawn("sleeper", func(p *Proc) {
-			k := 0
-			sleepLoop(p, inline, 35, func() (Time, bool) {
-				switch k++; k {
-				case 1:
-					h0 = e.Stats().Handoffs
-				case 200:
-					h1 = e.Stats().Handoffs
-					return 0, false
-				}
-				return 35, true
+	for _, shards := range []int{1, 2} {
+		for _, inline := range []bool{false, true} {
+			e := NewEngineShards(shards, 50)
+			var h0, h1 uint64
+			e.Spawn("sleeper", func(p *Proc) {
+				k := 0
+				sleepLoop(p, inline, 35, func() (Time, bool) {
+					k++
+					if k == 1 && shards == 1 {
+						h0 = e.Stats().Handoffs
+					}
+					if k == 200 {
+						if shards == 1 {
+							h1 = e.Stats().Handoffs
+						}
+						return 0, false
+					}
+					return 35, true
+				})
 			})
-		})
-		e.Spawn("busy", func(p *Proc) {
-			for i := 0; i < 1000; i++ {
-				p.Advance(10)
+			e.Spawn("busy", func(p *Proc) {
+				for i := 0; i < 1000; i++ {
+					p.Advance(10)
+				}
+			})
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
 			}
-		})
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if inline && h1 != h0 {
-			t.Errorf("inline sleeper cost %d handoffs while sleeping, want 0", h1-h0)
-		}
-		if !inline && h1-h0 < 100 {
-			t.Errorf("explicit loop cost only %d handoffs; the scenario no longer interleaves", h1-h0)
+			allowed := uint64(0)
+			if shards > 1 {
+				st := e.Stats()
+				if st.Rounds == 0 {
+					t.Fatalf("shards=%d: no parallel rounds ran, stats %+v", shards, st)
+				}
+				h1, allowed = st.Handoffs, 4
+			}
+			if inline && h1-h0 > allowed {
+				t.Errorf("shards=%d: inline sleeper cost %d handoffs, want at most %d", shards, h1-h0, allowed)
+			}
+			if !inline && h1-h0 < 100 {
+				t.Errorf("shards=%d: explicit loop cost only %d handoffs; the scenario no longer interleaves",
+					shards, h1-h0)
+			}
 		}
 	}
 }
 
 // TestAdvanceLoopSharded runs the contract on a sharded engine. The
-// sleepers are spawned inside a pinned global phase (the inline path);
-// the pin is released while their steps are pending, so shard workers
-// resume them in parallel rounds and they finish on the plain-loop
-// fallback, running the pending step on their own goroutines. The
+// sleepers are spawned inside a pinned global phase, where the engine's
+// lane runs their steps inline; the pin is released while their steps are
+// pending, so the split hands the queued resumes to the shard lanes,
+// which go on running the steps inline in parallel rounds. The
 // per-process logs must match the explicit loop's on the serial engine.
 func TestAdvanceLoopSharded(t *testing.T) {
 	run := func(shards int, inline bool) loopRun {

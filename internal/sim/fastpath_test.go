@@ -176,10 +176,18 @@ func TestCurrentDuringFastPath(t *testing.T) {
 // TestSteadyStateDispatchZeroAllocs verifies the pooled-event claim: once
 // the engine's heap slice has warmed up, event dispatch — fast-path
 // advances, slow-path interleavings and coalesced handoffs alike —
-// performs zero heap allocations per event.
+// performs zero heap allocations per event. It holds on both kinds of
+// lane: the serial engine's, and a shard's in the parallel rounds of a
+// 2-shard engine with no pin held.
 func TestSteadyStateDispatchZeroAllocs(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		steadyStateZeroAllocs(t, shards)
+	}
+}
+
+func steadyStateZeroAllocs(t *testing.T, shards int) {
 	run := func(rounds int) {
-		e := NewEngine()
+		e := NewEngineShards(shards, 50)
 		for pi := 0; pi < 2; pi++ {
 			e.Spawn("p", func(p *Proc) {
 				for i := 0; i < rounds; i++ {
@@ -195,13 +203,16 @@ func TestSteadyStateDispatchZeroAllocs(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
+		if shards > 1 && e.Stats().Rounds == 0 {
+			t.Fatalf("shards=%d: no parallel rounds ran", shards)
+		}
 	}
 	const extra = 4096
 	small := testing.AllocsPerRun(5, func() { run(64) })
 	big := testing.AllocsPerRun(5, func() { run(64 + extra) })
 	perEvent := (big - small) / (3 * extra)
 	if perEvent > 0.001 {
-		t.Fatalf("%.4f allocations per event (small run %.1f, big run %.1f), want 0",
-			perEvent, small, big)
+		t.Fatalf("shards=%d: %.4f allocations per event (small run %.1f, big run %.1f), want 0",
+			shards, perEvent, small, big)
 	}
 }

@@ -3,15 +3,17 @@
 // # Model
 //
 // NewEngineShards partitions processes across S shards, each with its own
-// event queue, clock, and host worker goroutine. Execution alternates
+// event queue, clock, and host worker goroutine. Every queue is a lane,
+// the one event loop the serial engine runs too. Execution alternates
 // between two phases:
 //
-//   - Global phase: the classic serial kernel. One queue, one clock, one
-//     goroutine at a time. Used whenever any process holds a global pin
-//     (PinGlobal), i.e. during phases whose cross-rank interactions are
-//     finer-grained than the lookahead (the fork-join scheduler's steal
-//     protocol pokes victim deques directly).
-//   - Parallel rounds: each shard's worker drains its own queue to
+//   - Global phase: the engine's own lane, exactly as the serial engine
+//     runs it. One queue, one clock, one goroutine at a time. Used
+//     whenever any process holds a global pin (PinGlobal), i.e. during
+//     phases whose cross-rank interactions are finer-grained than the
+//     lookahead (the fork-join scheduler's steal protocol pokes victim
+//     deques directly); the lane stops once no pin is held.
+//   - Parallel rounds: each shard's worker drains its own lane to
 //     quiescence — a dynamically sized conservative window that ends when
 //     every process on the shard has parked, blocked, or exited. Shards
 //     share no mutable state during a round; cross-shard communication is
@@ -64,7 +66,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 )
 
@@ -73,7 +74,6 @@ type sharded struct {
 	shards    []*shard
 	lookahead Time
 	pins      atomic.Int32 // processes requiring the global phase
-	parallel  bool         // written by the coordinator between phases only
 	started   bool
 	rounds    uint64 // parallel rounds completed
 	splits    uint64 // global→parallel transitions
@@ -85,31 +85,20 @@ type sharded struct {
 	active []*shard
 }
 
-// shard is one host worker's slice of the simulation: a private event
-// queue, clock, and process set. During parallel rounds exactly one
-// goroutine (the shard worker or a process it handed the baton to) touches
-// a shard's state, so the serial kernel's no-locking argument holds
-// per-shard.
+// shard is one host worker's slice of the simulation: a private lane
+// (event queue, clock and process set) with a band of FIFO keys of its
+// own. During parallel rounds exactly one goroutine (the shard worker or a
+// process it handed the baton to) touches a shard's state, so the lane's
+// no-locking argument holds per shard.
 type shard struct {
+	lane
 	id      int
 	eng     *Engine
-	now     Time
-	queue   []event
-	seq     uint64
-	root    chan struct{} // baton back to the shard worker when the queue drains
 	runCh   chan struct{} // coordinator → worker: run one round
 	mergeCh chan struct{} // coordinator → worker: merge this shard's inbox
 	doneCh  chan struct{} // worker → coordinator: round / merge finished
-	current *Proc
-	live    procList
-	inbox   [][]event // mailbox per source shard, merged at round boundaries
-	pending []event   // resumes for pin-parked processes, released at the global merge
-	stats   EngineStats
-}
-
-// key returns the shard-banded tie-break key for the shard's seq-th event.
-func (s *shard) key(seq uint64) uint64 {
-	return uint64(s.id+1)<<keyShardShift | (seq & keyShardMask)
+	inbox   [][]event     // mailbox per source shard, merged at round boundaries
+	pending []event       // resumes for pin-parked processes, released at the global merge
 }
 
 // NewEngineShards returns an engine whose processes are partitioned across
@@ -131,18 +120,21 @@ func NewEngineShards(nshards int, lookahead Time) *Engine {
 	}
 	sh := &sharded{lookahead: lookahead}
 	for i := 0; i < nshards; i++ {
-		sh.shards = append(sh.shards, &shard{
+		s := &shard{
 			id:      i,
 			eng:     e,
-			root:    make(chan struct{}),
 			runCh:   make(chan struct{}),
 			mergeCh: make(chan struct{}),
 			doneCh:  make(chan struct{}),
 			inbox:   make([][]event, nshards),
-		})
+		}
+		s.band = uint64(i+1) << keyShardShift
+		s.root = make(chan struct{})
+		sh.shards = append(sh.shards, s)
 	}
 	sh.active = make([]*shard, 0, nshards)
 	e.sh = sh
+	e.pins = &sh.pins
 	return e
 }
 
@@ -183,12 +175,11 @@ func (p *Proc) PinGlobal() {
 		return
 	}
 	e.sh.pins.Add(1)
-	if !e.sh.parallel {
+	if !e.parallel {
 		return
 	}
 	s := p.shd
-	s.seq++
-	s.pending = append(s.pending, event{at: s.now, key: s.key(s.seq), proc: p})
+	s.pending = append(s.pending, event{at: s.now, key: s.nextKey(), proc: p})
 	s.dispatch(p)
 }
 
@@ -223,21 +214,14 @@ func (p *Proc) ScheduleWake(q *Proc, t Time, key uint64) {
 	if q.shd != nil {
 		ev.shard = int32(q.shd.id)
 	}
-	if e.sh == nil || !e.sh.parallel {
-		if t < e.now {
-			panic(fmt.Sprintf("sim: wake at %d before now %d", t, e.now))
+	if l := p.lane(); !e.parallel || q.shd == p.shd {
+		if t < l.now {
+			panic(fmt.Sprintf("sim: wake at %d before now %d", t, l.now))
 		}
-		e.push(ev)
+		l.push(ev)
 		return
 	}
 	s := p.shd
-	if q.shd == s {
-		if t < s.now {
-			panic(fmt.Sprintf("sim: wake at %d before shard clock %d", t, s.now))
-		}
-		s.queue = heapPush(s.queue, ev)
-		return
-	}
 	if t < s.now+e.sh.lookahead {
 		panic(fmt.Sprintf("sim: cross-shard wake at %d violates lookahead (shard %d clock %d + lookahead %d)",
 			t, s.id, s.now, e.sh.lookahead))
@@ -247,7 +231,7 @@ func (p *Proc) ScheduleWake(q *Proc, t Time, key uint64) {
 
 // runSharded is Run for sharded engines: it alternates global phases with
 // parallel rounds until the simulation drains.
-func (e *Engine) runSharded() error {
+func (e *Engine) runSharded() {
 	sh := e.sh
 	if sh.started {
 		panic("sim: Run called twice on a sharded engine")
@@ -257,7 +241,7 @@ func (e *Engine) runSharded() error {
 		go s.worker()
 	}
 	for {
-		if done := e.runGlobalPhase(); done {
+		if e.drain(); len(e.queue) == 0 {
 			break
 		}
 		// Split: distribute the global queue across the shard queues. The
@@ -267,10 +251,9 @@ func (e *Engine) runSharded() error {
 		for len(e.queue) > 0 {
 			var ev event
 			ev, e.queue = heapPop(e.queue)
-			dst := sh.shards[ev.targetShard()]
-			dst.queue = heapPush(dst.queue, ev)
+			sh.shards[ev.targetShard()].push(ev)
 		}
-		sh.parallel = true
+		e.parallel = true
 		sh.splits++
 		for {
 			// Only shards with queued events are signalled: an empty
@@ -323,7 +306,7 @@ func (e *Engine) runSharded() error {
 				break
 			}
 		}
-		sh.parallel = false
+		e.parallel = false
 		e.mergeToGlobal()
 	}
 	for _, s := range sh.shards {
@@ -334,15 +317,6 @@ func (e *Engine) runSharded() error {
 			e.now = s.now
 		}
 	}
-	var names []string
-	for _, s := range sh.shards {
-		names = append(names, s.live.names()...)
-	}
-	if len(names) > 0 {
-		sort.Strings(names)
-		return &DeadlockError{Parked: names}
-	}
-	return nil
 }
 
 // targetShard returns the shard an event belongs to when the global queue
@@ -352,74 +326,6 @@ func (ev *event) targetShard() int {
 		return ev.proc.shd.id
 	}
 	return int(ev.shard)
-}
-
-// runGlobalPhase drains the global queue serially (the classic kernel)
-// until either the simulation completes (returns true) or no pin holds the
-// engine global and pending events should run in parallel rounds instead
-// (returns false).
-func (e *Engine) runGlobalPhase() (done bool) {
-	sh := e.sh
-	for {
-		if len(e.queue) == 0 {
-			return true
-		}
-		if sh.pins.Load() == 0 {
-			return false
-		}
-		ev := e.pop()
-		e.now = ev.at
-		if ev.proc == nil {
-			e.current = nil
-			e.stats.Callbacks++
-			ev.fire()
-			continue
-		}
-		if ev.proc.step != nil && !e.runStep(ev.proc) {
-			continue
-		}
-		e.transfer(ev.proc)
-		<-e.root
-	}
-}
-
-// globalDispatch is dispatch for processes of a sharded engine during the
-// global phase. It matches the serial dispatch loop exactly, except that
-// when the last pin has been released it returns the baton to the
-// coordinator so pending events can run in parallel rounds; self's resume
-// is already queued and will be delivered by its shard worker.
-func (e *Engine) globalDispatch(self *Proc) {
-	sh := e.sh
-	for {
-		if len(e.queue) == 0 || sh.pins.Load() == 0 {
-			e.current = nil
-			e.root <- struct{}{}
-			if self != nil {
-				<-self.resume
-			}
-			return
-		}
-		ev := e.pop()
-		e.now = ev.at
-		if ev.proc == nil {
-			e.current = nil
-			e.stats.Callbacks++
-			ev.fire()
-			continue
-		}
-		if ev.proc.step != nil && !e.runStep(ev.proc) {
-			continue
-		}
-		if ev.proc == self {
-			e.current = self
-			return
-		}
-		e.transfer(ev.proc)
-		if self != nil {
-			<-self.resume
-		}
-		return
-	}
 }
 
 // mergeInbox delivers this shard's round-boundary mailboxes into its own
@@ -435,7 +341,7 @@ func (s *shard) mergeInbox() {
 				panic(fmt.Sprintf("sim: conservative violation: event from shard %d at %d is in shard %d's past (clock %d, lookahead %d)",
 					src, ev.at, s.id, s.now, s.eng.sh.lookahead))
 			}
-			s.queue = heapPush(s.queue, ev)
+			s.push(ev)
 		}
 		s.inbox[src] = s.inbox[src][:0]
 	}
@@ -455,13 +361,13 @@ func (e *Engine) mergeToGlobal() {
 			e.push(ev)
 		}
 		s.pending = s.pending[:0]
-		s.current = nil
 	}
 }
 
-// worker is a shard's host goroutine: it runs one quiescence round or one
-// inbox merge per coordinator request. The coordinator never signals both
-// channels at once, and closes runCh to retire the worker.
+// worker is a shard's host goroutine: it runs one quiescence round (its
+// lane drains to empty) or one inbox merge per coordinator request. The
+// coordinator never signals both channels at once, and closes runCh to
+// retire the worker.
 func (s *shard) worker() {
 	for {
 		select {
@@ -476,103 +382,4 @@ func (s *shard) worker() {
 			s.doneCh <- struct{}{}
 		}
 	}
-}
-
-// drain runs the shard's queue to quiescence: the round ends when every
-// process on the shard has parked, blocked on a future event, or exited.
-func (s *shard) drain() {
-	for len(s.queue) > 0 {
-		var ev event
-		ev, s.queue = heapPop(s.queue)
-		s.stats.Events++
-		s.now = ev.at
-		if ev.proc == nil {
-			s.current = nil
-			s.stats.Callbacks++
-			ev.fire()
-			continue
-		}
-		s.transfer(ev.proc)
-		<-s.root
-	}
-	s.current = nil
-}
-
-// transfer hands the shard baton to q (see Engine.transfer).
-func (s *shard) transfer(q *Proc) {
-	s.stats.Handoffs++
-	s.current = q
-	if !q.started {
-		q.started = true
-		go q.run()
-		return
-	}
-	q.resume <- struct{}{}
-}
-
-// scheduleResume queues a resume of p on its shard at time t with a
-// shard-banded key.
-func (s *shard) scheduleResume(p *Proc, t Time) {
-	s.seq++
-	s.queue = heapPush(s.queue, event{at: t, key: s.key(s.seq), proc: p})
-}
-
-// dispatch is the shard-local dispatch loop, the parallel-round analogue
-// of Engine.dispatch. When the shard quiesces it returns the baton to the
-// shard worker; a blocked self resumes in a later round or global phase.
-func (s *shard) dispatch(self *Proc) {
-	for {
-		if len(s.queue) == 0 {
-			s.current = nil
-			s.root <- struct{}{}
-			if self != nil {
-				<-self.resume
-			}
-			return
-		}
-		var ev event
-		ev, s.queue = heapPop(s.queue)
-		s.stats.Events++
-		s.now = ev.at
-		if ev.proc == nil {
-			s.current = nil
-			s.stats.Callbacks++
-			ev.fire()
-			continue
-		}
-		if ev.proc == self {
-			s.current = self
-			return
-		}
-		s.transfer(ev.proc)
-		if self != nil {
-			<-self.resume
-		}
-		return
-	}
-}
-
-// advanceSharded is Proc.Advance for processes of a sharded engine, in
-// both phases. The fast/slow path split is identical to the serial kernel,
-// applied to whichever queue+clock currently governs the process.
-func (p *Proc) advanceSharded(d Time) {
-	e := p.eng
-	if !e.sh.parallel {
-		if e.fastAdvance(d) {
-			e.now += d
-			e.stats.FastAdvances++
-			return
-		}
-		e.scheduleResume(p, e.now+d)
-		e.globalDispatch(p)
-		return
-	}
-	s := p.shd
-	if d > 0 && (len(s.queue) == 0 || s.queue[0].at > s.now+d) {
-		s.now += d
-		s.stats.FastAdvances++
-		return
-	}
-	s.scheduleResume(p, s.now+d)
-	s.dispatch(p)
 }

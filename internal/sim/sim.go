@@ -50,9 +50,12 @@
 // processes are assigned to shards, each with its own event queue and
 // clock, and shards drain conservative time windows on separate host
 // goroutines (see shard.go for the protocol and its determinism argument).
-// The serial engine from NewEngine is unchanged — everything above still
-// holds for it — and a sharded engine degenerates to it when asked for one
-// shard.
+// Every mode runs the same event loop, a lane: one queue, clock and baton
+// with a single copy of the dispatch, drain and fast-path code. The serial
+// engine and a sharded engine's global phase run on the Engine's own lane,
+// and each shard runs its parallel rounds on a lane of its own, so
+// everything above holds per lane. A sharded engine degenerates to the
+// serial one when asked for one shard.
 package sim
 
 import (
@@ -114,22 +117,42 @@ type EngineStats struct {
 	Splits       uint64 // global→parallel transitions (sharded engines)
 }
 
+// lane is one event loop: an event queue with its clock, FIFO key band
+// and baton. The Engine embeds the lane that runs the serial engine and a
+// sharded engine's global phase; each shard embeds the lane that runs its
+// parallel rounds. At most one goroutine holds a lane's baton at a time,
+// so its state needs no locking.
+type lane struct {
+	now     Time
+	queue   []event // 4-ary min-heap ordered by (at, key)
+	seq     uint64
+	band    uint64        // FIFO key band: 0 on the engine's lane, per shard above it
+	root    chan struct{} // the loop hands the baton back to drain when it stops
+	live    procList      // processes homed on this lane
+	current *Proc
+	stats   EngineStats
+
+	// pins is set on a sharded engine's own lane, which stops once no pin
+	// is held so that pending events run in parallel rounds instead.
+	pins *atomic.Int32
+	// pub is set on the engine's own lane, whose pops refresh the
+	// engine's live snapshots; shard lanes do not publish.
+	pub *Engine
+}
+
 // Engine is a discrete-event simulation engine. The zero value is not
 // usable; create engines with NewEngine (serial) or NewEngineShards
 // (parallel host execution, see shard.go).
 type Engine struct {
-	now     Time
-	queue   []event // 4-ary min-heap ordered by (at, key)
-	seq     uint64
-	root    chan struct{} // dispatch returns the baton to Run when the queue drains
-	live    procList
-	current *Proc
-	stats   EngineStats
+	lane
 
 	// sh is non-nil for engines created by NewEngineShards with more than
-	// one shard. All parallel behaviour hangs off it; when nil, every path
-	// below is the serial kernel unchanged.
+	// one shard. All parallel behaviour hangs off it; when nil, the
+	// engine's lane is the whole kernel.
 	sh *sharded
+	// parallel is set while a sharded engine runs a parallel round. Only
+	// the coordinator writes it, between phases.
+	parallel bool
 
 	// liveNow/liveEvents are low-frequency snapshots of the clock and the
 	// dispatched-event count, published for host-side progress reporting
@@ -223,7 +246,10 @@ func (l *procList) names() []string {
 // NewEngine returns a new engine with the clock at zero and no pending
 // events.
 func NewEngine() *Engine {
-	return &Engine{root: make(chan struct{})}
+	e := &Engine{}
+	e.root = make(chan struct{})
+	e.pub = e
+	return e
 }
 
 // Now returns the current virtual time.
@@ -306,24 +332,144 @@ func heapPop(q []event) (event, []event) {
 }
 
 // fastAdvance reports whether an Advance of d (already scaled) may take
-// the zero-handoff fast path on the serial/global queue: no queued event
-// fires at or before now+d.
-func (e *Engine) fastAdvance(d Time) bool {
-	return d > 0 && (len(e.queue) == 0 || e.queue[0].at > e.now+d)
+// the zero-handoff fast path: no queued event fires at or before now+d.
+func (l *lane) fastAdvance(d Time) bool {
+	return d > 0 && (len(l.queue) == 0 || l.queue[0].at > l.now+d)
 }
 
-// push inserts ev into the engine's serial/global queue.
-func (e *Engine) push(ev event) { e.queue = heapPush(e.queue, ev) }
+// push inserts ev into the lane's queue.
+func (l *lane) push(ev event) { l.queue = heapPush(l.queue, ev) }
 
-// pop removes and returns the earliest event from the serial/global queue.
-func (e *Engine) pop() event {
-	e.stats.Events++
-	if e.stats.Events&(liveEvery-1) == 0 {
-		e.publishLive()
+// pop removes and returns the earliest event from the lane's queue.
+func (l *lane) pop() event {
+	l.stats.Events++
+	if l.stats.Events&(liveEvery-1) == 0 && l.pub != nil {
+		l.pub.publishLive()
 	}
-	top, q := heapPop(e.queue)
-	e.queue = q
+	top, q := heapPop(l.queue)
+	l.queue = q
 	return top
+}
+
+// nextKey returns the lane's next FIFO tie-break key.
+func (l *lane) nextKey() uint64 {
+	l.seq++
+	return l.band | l.seq&keyShardMask
+}
+
+// scheduleResume queues a resume of p at time t.
+func (l *lane) scheduleResume(p *Proc, t Time) {
+	l.push(event{at: t, key: l.nextKey(), proc: p})
+}
+
+// stopped reports whether the loop must give up the baton: the queue is
+// empty, or this is a sharded engine's lane and no pin holds it global.
+func (l *lane) stopped() bool {
+	return len(l.queue) == 0 || l.pins != nil && l.pins.Load() == 0
+}
+
+// transfer hands the baton to q, starting its goroutine on first resume.
+// The caller must not touch lane state after transfer returns until it is
+// itself resumed (it blocks on its own resume channel, blocks on root, or
+// exits).
+func (l *lane) transfer(q *Proc) {
+	l.stats.Handoffs++
+	l.current = q
+	if !q.started {
+		q.started = true
+		go q.run()
+		return
+	}
+	q.resume <- struct{}{}
+}
+
+// next pops and runs events until one must run on a process goroutine,
+// and returns that process; it returns nil once the lane stops. Callbacks
+// fire inline, and a popped process with a pending AdvanceLoop step has
+// the step run inline, so it is returned only when the step finishes.
+func (l *lane) next() *Proc {
+	for !l.stopped() {
+		ev := l.pop()
+		l.now = ev.at
+		if ev.proc == nil {
+			l.current = nil
+			l.stats.Callbacks++
+			ev.fire()
+			continue
+		}
+		if ev.proc.step != nil && !l.runStep(ev.proc) {
+			continue
+		}
+		return ev.proc
+	}
+	l.current = nil
+	return nil
+}
+
+// dispatch runs the event loop while this goroutine holds the baton. It
+// pops events and fires engine-context callbacks inline until either
+//
+//   - it pops a resume for self: it returns with the baton still held, so
+//     the caller simply continues running (no channel traffic at all), or
+//   - it pops a resume for another process: it hands the baton over and,
+//     when self expects to run again later, blocks until resumed, or
+//   - the lane stops: it returns the baton to drain (deadlock detection
+//     and phase switches happen there); a blocked self resumes once a
+//     later loop pops its queued resume.
+//
+// self is nil when the caller will never run again (process exit).
+func (l *lane) dispatch(self *Proc) {
+	q := l.next()
+	switch {
+	case q == nil:
+		l.root <- struct{}{}
+	case q == self:
+		l.current = self
+		return
+	default:
+		l.transfer(q)
+	}
+	if self != nil {
+		// After a stop, self resumes once a later phase or round pops its
+		// queued resume, or never: a process still parked when the
+		// simulation drains can only leak, exactly as one blocked on a
+		// channel nobody sends on would, and Run reports the deadlock.
+		<-self.resume
+	}
+}
+
+// drain runs the lane from its host goroutine (Run, the sharded
+// coordinator or a shard worker) until it stops, taking the baton back
+// on root after each handoff.
+func (l *lane) drain() {
+	for q := l.next(); q != nil; q = l.next() {
+		l.transfer(q)
+		<-l.root
+	}
+}
+
+// runStep runs the pending AdvanceLoop step of q, whose resume event just
+// popped, on the goroutine holding the baton. It keeps calling the step
+// while each requested sleep takes the fast path, exactly as the loop
+// would on q's own goroutine. It returns false when q went back on the
+// queue (the caller goes on dispatching) and true when the step finished,
+// so that q itself must now run.
+func (l *lane) runStep(q *Proc) bool {
+	l.current = q
+	for {
+		d, ok := q.step()
+		if !ok {
+			q.step = nil
+			return true
+		}
+		if d = q.scaled(d); l.fastAdvance(d) {
+			l.now += d
+			l.stats.FastAdvances++
+			continue
+		}
+		l.scheduleResume(q, l.now+d)
+		return false
+	}
 }
 
 // At schedules fn to run in engine context at time t. fn must not block;
@@ -331,14 +477,13 @@ func (e *Engine) pop() event {
 // On a sharded engine, At may only be called before Run or while the
 // engine is in its global (serial) phase.
 func (e *Engine) At(t Time, fn func()) {
-	if e.sh != nil && e.sh.parallel {
+	if e.parallel {
 		panic("sim: At called during a parallel round; use Proc.ScheduleWake or schedule before Run")
 	}
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}
-	e.seq++
-	ev := event{at: t, key: e.seq, fire: fn}
+	ev := event{at: t, key: e.nextKey(), fire: fn}
 	if cur := e.current; cur != nil && cur.shd != nil {
 		ev.shard = int32(cur.shd.id)
 	}
@@ -347,12 +492,6 @@ func (e *Engine) At(t Time, fn func()) {
 
 // After schedules fn to run in engine context after duration d.
 func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
-
-// scheduleResume queues a resume of p at time t on the serial/global queue.
-func (e *Engine) scheduleResume(p *Proc, t Time) {
-	e.seq++
-	e.push(event{at: t, key: e.seq, proc: p})
-}
 
 // Spawn creates a new simulated process that will begin executing fn at the
 // current virtual time (after already-queued events for this instant).
@@ -372,7 +511,7 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 // engine the shard index is ignored. SpawnOn may only be called before Run
 // or during a global phase.
 func (e *Engine) SpawnOn(shard int, name string, fn func(*Proc)) *Proc {
-	if e.sh != nil && e.sh.parallel {
+	if e.parallel {
 		panic("sim: Spawn during a parallel round")
 	}
 	p := &Proc{
@@ -384,124 +523,10 @@ func (e *Engine) SpawnOn(shard int, name string, fn func(*Proc)) *Proc {
 	e.stats.Spawns++
 	if e.sh != nil {
 		p.shd = e.sh.shards[shard]
-		p.shd.live.add(p)
-	} else {
-		e.live.add(p)
 	}
+	p.home().live.add(p)
 	e.scheduleResume(p, e.now)
 	return p
-}
-
-// transfer hands the baton to q, starting its goroutine on first resume.
-// The caller must not touch engine state after transfer returns until it is
-// itself resumed (it blocks on its own resume channel, blocks on e.root, or
-// exits).
-func (e *Engine) transfer(q *Proc) {
-	e.stats.Handoffs++
-	e.current = q
-	if !q.started {
-		q.started = true
-		go q.run()
-		return
-	}
-	q.resume <- struct{}{}
-}
-
-// run is a process goroutine's top-level frame. The exit handling is
-// deferred so that a body terminated by runtime.Goexit (e.g. t.Fatal in
-// tests) still passes the baton on instead of deadlocking the host.
-func (p *Proc) run() {
-	defer p.exit()
-	p.body(p)
-}
-
-// exit retires the process and passes the baton to the next event (or back
-// to Run if the queue has drained).
-func (p *Proc) exit() {
-	e := p.eng
-	p.dead = true
-	if p.shd != nil {
-		p.shd.live.remove(p)
-		if e.sh.parallel {
-			p.shd.dispatch(nil)
-		} else {
-			e.globalDispatch(nil)
-		}
-		return
-	}
-	e.live.remove(p)
-	e.dispatch(nil)
-}
-
-// dispatch runs the event loop while this goroutine holds the baton. It
-// pops events and fires engine-context callbacks inline until either
-//
-//   - it pops a resume for self: it returns with the baton still held, so
-//     the caller simply continues running (no channel traffic at all), or
-//   - it pops a resume for another process: it hands the baton over and,
-//     when self expects to run again later, blocks until resumed, or
-//   - the queue drains: it returns the baton to Run (deadlock detection
-//     happens there).
-//
-// self is nil when the caller will never run again (process exit).
-func (e *Engine) dispatch(self *Proc) {
-	for {
-		if len(e.queue) == 0 {
-			e.current = nil
-			e.root <- struct{}{}
-			if self != nil {
-				// Parked forever: Run has already reported the deadlock;
-				// this goroutine can only leak, exactly as a process blocked
-				// on a channel the simulation never sends on would.
-				<-self.resume
-			}
-			return
-		}
-		ev := e.pop()
-		e.now = ev.at
-		if ev.proc == nil {
-			e.current = nil
-			e.stats.Callbacks++
-			ev.fire()
-			continue
-		}
-		if ev.proc.step != nil && !e.runStep(ev.proc) {
-			continue
-		}
-		if ev.proc == self {
-			e.current = self
-			return
-		}
-		e.transfer(ev.proc)
-		if self != nil {
-			<-self.resume
-		}
-		return
-	}
-}
-
-// runStep runs the pending AdvanceLoop step of q, whose resume event just
-// popped, on the goroutine holding the baton. It keeps calling the step
-// while each requested sleep takes the fast path, exactly as the loop
-// would on q's own goroutine. It returns false when q went back on the
-// queue (the caller goes on dispatching) and true when the step finished,
-// so that q itself must now run.
-func (e *Engine) runStep(q *Proc) bool {
-	e.current = q
-	for {
-		d, ok := q.step()
-		if !ok {
-			q.step = nil
-			return true
-		}
-		if d = q.scaled(d); e.fastAdvance(d) {
-			e.now += d
-			e.stats.FastAdvances++
-			continue
-		}
-		e.scheduleResume(q, e.now+d)
-		return false
-	}
 }
 
 // Current returns the process currently executing (nil between events).
@@ -524,27 +549,17 @@ func (d *DeadlockError) Error() string {
 // nil otherwise. Run may be called at most once on a sharded engine.
 func (e *Engine) Run() error {
 	if e.sh != nil {
-		return e.runSharded()
+		e.runSharded()
+	} else {
+		e.drain()
 	}
-	for len(e.queue) > 0 {
-		ev := e.pop()
-		e.now = ev.at
-		if ev.proc == nil {
-			e.current = nil
-			e.stats.Callbacks++
-			ev.fire()
-			continue
+	names := e.live.names()
+	if e.sh != nil {
+		for _, s := range e.sh.shards {
+			names = append(names, s.live.names()...)
 		}
-		if ev.proc.step != nil && !e.runStep(ev.proc) {
-			continue
-		}
-		e.transfer(ev.proc)
-		// The baton comes back only when the queue has drained; processes
-		// hand off among themselves in the meantime.
-		<-e.root
 	}
-	if e.live.n > 0 {
-		names := e.live.names()
+	if len(names) > 0 {
 		sort.Strings(names)
 		return &DeadlockError{Parked: names}
 	}
@@ -583,14 +598,43 @@ type Proc struct {
 // Engine returns the engine this process belongs to.
 func (p *Proc) Engine() *Engine { return p.eng }
 
+// lane returns the lane that runs p now: its shard's during a parallel
+// round, the engine's otherwise.
+func (p *Proc) lane() *lane {
+	if e := p.eng; !e.parallel {
+		return &e.lane
+	}
+	return &p.shd.lane
+}
+
+// home returns the lane whose live list holds p: its shard's on a sharded
+// engine, the engine's on a serial one.
+func (p *Proc) home() *lane {
+	if p.shd != nil {
+		return &p.shd.lane
+	}
+	return &p.eng.lane
+}
+
+// run is a process goroutine's top-level frame. The exit handling is
+// deferred so that a body terminated by runtime.Goexit (e.g. t.Fatal in
+// tests) still passes the baton on instead of deadlocking the host.
+func (p *Proc) run() {
+	defer p.exit()
+	p.body(p)
+}
+
+// exit retires the process and passes the baton to the next event (or
+// back to drain if the lane has stopped).
+func (p *Proc) exit() {
+	p.dead = true
+	p.home().live.remove(p)
+	p.lane().dispatch(nil)
+}
+
 // Now returns the current virtual time: the process's shard clock during
 // parallel rounds, the global clock otherwise.
-func (p *Proc) Now() Time {
-	if p.shd != nil && p.eng.sh.parallel {
-		return p.shd.now
-	}
-	return p.eng.now
-}
+func (p *Proc) Now() Time { return p.lane().now }
 
 // Advance blocks the process for d nanoseconds of virtual time, modelling
 // local computation or fixed-cost operations. Advance(0) yields without
@@ -606,18 +650,14 @@ func (p *Proc) Now() Time {
 // slow path: its purpose is to interleave same-instant events.
 func (p *Proc) Advance(d Time) {
 	d = p.scaled(d)
-	e := p.eng
-	if p.shd != nil {
-		p.advanceSharded(d)
+	l := p.lane()
+	if l.fastAdvance(d) {
+		l.now += d
+		l.stats.FastAdvances++
 		return
 	}
-	if e.fastAdvance(d) {
-		e.now += d
-		e.stats.FastAdvances++
-		return
-	}
-	e.scheduleResume(p, e.now+d)
-	e.dispatch(p)
+	l.scheduleResume(p, l.now+d)
+	l.dispatch(p)
 }
 
 // scaled checks an Advance duration and applies the process's time scale.
@@ -647,9 +687,8 @@ func (p *Proc) scaled(d Time) Time {
 // therefore not block (no Advance, Park or other kernel call that yields),
 // must act on the process's behalf only through state the kernel owns
 // anyway (the clock via Now, queued wakes), and must not rely on running
-// on this goroutine. On a sharded engine the inline path is used in the
-// global phase; during parallel rounds the loop runs plainly on this
-// goroutine.
+// on this goroutine. On a sharded engine the step runs inline in the
+// global phase and in parallel rounds alike.
 func (p *Proc) AdvanceLoop(d Time, step func() (Time, bool)) {
 	for {
 		p.step = step
@@ -657,8 +696,7 @@ func (p *Proc) AdvanceLoop(d Time, step func() (Time, bool)) {
 		if p.step == nil {
 			return // the kernel ran the step until it returned false
 		}
-		// Advance took the fast path, or a shard worker resumed us in a
-		// parallel round without running the step: run it here.
+		// Advance took the fast path: run the step here.
 		p.step = nil
 		var ok bool
 		if d, ok = step(); !ok {
@@ -691,15 +729,7 @@ func (p *Proc) Park() {
 		return
 	}
 	p.parked = true
-	if p.shd != nil {
-		if p.eng.sh.parallel {
-			p.shd.dispatch(p)
-		} else {
-			p.eng.globalDispatch(p)
-		}
-		return
-	}
-	p.eng.dispatch(p)
+	p.lane().dispatch(p)
 }
 
 // Wake unparks p at the current virtual time. If p is not parked, a permit
@@ -710,19 +740,11 @@ func (p *Proc) Park() {
 // own shard; cross-shard wakeups must go through Proc.ScheduleWake, which
 // routes them via the window-boundary mailboxes.
 func (p *Proc) Wake() {
-	e := p.eng
 	if !p.parked {
 		p.permits++
 		return
 	}
 	p.parked = false
-	if p.shd != nil {
-		if e.sh.parallel {
-			p.shd.scheduleResume(p, p.shd.now)
-		} else {
-			e.scheduleResume(p, e.now)
-		}
-		return
-	}
-	e.scheduleResume(p, e.now)
+	l := p.lane()
+	l.scheduleResume(p, l.now)
 }
