@@ -75,11 +75,13 @@ validate:
 	$(GO) test -count=1 -run 'TestValidator|TestSetPolicy' ./internal/core
 	$(GO) test -count=1 -race -run 'TestValidatorShardParity' ./internal/core
 
-# Host-side kernel throughput and the idle scheduler's cost per failed
-# steal (not part of check: timing-sensitive).
+# Host-side kernel throughput, the cache's checkout/checkin costs and the
+# idle scheduler's cost per failed steal (not part of check:
+# timing-sensitive).
 bench:
 	$(GO) test -bench BenchmarkSimEngine -run xxx ./internal/sim
 	$(GO) test -bench BenchmarkRMAOps -run xxx ./internal/rma
+	$(GO) test -bench BenchmarkPgas -run xxx ./internal/pgas
 	$(GO) test -bench BenchmarkFailedSteal -run xxx ./internal/uth
 
 hostperf:

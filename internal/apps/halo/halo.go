@@ -25,6 +25,7 @@
 package halo
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -94,12 +95,9 @@ type Result struct {
 // HostProcs.
 func (r Result) Digest() string {
 	h := fnv.New64a()
+	var b [8]byte
 	for _, v := range r.FinalState {
-		var b [8]byte
-		bits := math.Float64bits(v)
-		for i := range b {
-			b[i] = byte(bits >> (8 * i))
-		}
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
 		h.Write(b[:])
 	}
 	fmt.Fprintf(h, "rma=%+v\n", r.Stats)
@@ -221,21 +219,10 @@ func Run(cfg Config) (Result, error) {
 // uint64Off converts a float64 slot index to a byte offset.
 func uint64Off(slot int) int { return slot * 8 }
 
-func loadBits(seg []byte, slot int) uint64 {
-	off := slot * 8
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(seg[off+i]) << (8 * i)
-	}
-	return v
-}
+func loadBits(seg []byte, slot int) uint64 { return binary.LittleEndian.Uint64(seg[slot*8:]) }
 
 func loadF64(seg []byte, slot int) float64 { return math.Float64frombits(loadBits(seg, slot)) }
 
 func storeF64(seg []byte, slot int, v float64) {
-	off := slot * 8
-	bits := math.Float64bits(v)
-	for i := 0; i < 8; i++ {
-		seg[off+i] = byte(bits >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(seg[slot*8:], math.Float64bits(v))
 }

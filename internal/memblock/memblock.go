@@ -2,6 +2,12 @@
 // software cache: fixed pools of home and cache blocks, the blockID → block
 // hash table, LRU eviction with reference counts, and the memory-mapping
 // entry accounting of §4.3.2 of the paper.
+//
+// A cache block's bytes live in pages, one per sub-block (the paper's
+// remote-fetch granularity, §4.3.1), each allocated the first time any
+// byte in it is touched. A block that only ever serves a few sub-blocks
+// costs the host only those pages; a block whose sub-block size equals
+// its block size is simply the one-page case.
 package memblock
 
 import (
@@ -27,9 +33,12 @@ type Block struct {
 	// ID is the global block number currently associated with this
 	// physical block, or -1 when free.
 	ID int64
-	// Data is the backing storage. For cache blocks it is owned by the
-	// block; for home blocks it aliases the rank's home segment.
-	Data []byte
+	// pages is the cache block's storage, one page per sub-block, each
+	// nil until first touched (see Span, ReadAt and WriteAt). Pages
+	// survive eviction: a recycled block keeps its storage, and its
+	// cleared Valid set marks every old byte stale. Home blocks have no
+	// pages; their bytes live in the rank's home segment.
+	pages [][]byte
 	// Valid tracks the up-to-date byte regions within the block, in
 	// absolute global addresses (cache blocks only; home blocks are
 	// authoritative and have no Valid set).
@@ -56,6 +65,56 @@ type Block struct {
 	table      *Table
 }
 
+// page returns page i of the block's storage, allocating it on first
+// touch.
+func (b *Block) page(i int) []byte {
+	p := b.pages[i]
+	if p == nil {
+		p = make([]byte, b.table.pageSize)
+		b.pages[i] = p
+	}
+	return p
+}
+
+// Span appends to dst the page slices that hold bytes [off, off+n) of the
+// block, in address order, allocating any untouched page, and returns the
+// extended list. The slices alias the block's storage, so a vectored RMA
+// read can land in them directly.
+func (b *Block) Span(dst [][]byte, off, n int) [][]byte {
+	ps := b.table.pageSize
+	for n > 0 {
+		i, o := off/ps, off%ps
+		p := b.page(i)[o:]
+		if len(p) > n {
+			p = p[:n]
+		}
+		dst = append(dst, p)
+		off += len(p)
+		n -= len(p)
+	}
+	return dst
+}
+
+// ReadAt copies len(p) bytes of the block starting at offset off into p.
+func (b *Block) ReadAt(p []byte, off int) {
+	ps := b.table.pageSize
+	for len(p) > 0 {
+		n := copy(p, b.page(off / ps)[off%ps:])
+		p = p[n:]
+		off += n
+	}
+}
+
+// WriteAt copies p into the block starting at offset off.
+func (b *Block) WriteAt(p []byte, off int) {
+	ps := b.table.pageSize
+	for len(p) > 0 {
+		n := copy(b.page(off / ps)[off%ps:], p)
+		p = p[n:]
+		off += n
+	}
+}
+
 // Pinned reports whether the block is held by outstanding checkouts.
 func (b *Block) Pinned() bool { return b.Ref > 0 }
 
@@ -66,6 +125,7 @@ func (b *Block) Evictable() bool { return b.Ref == 0 && b.Dirty.Empty() }
 // Table is a fixed pool of physical blocks with an LRU replacement policy.
 type Table struct {
 	blockSize int
+	pageSize  int
 	home      bool
 	byID      map[int64]*Block
 	// LRU list with sentinel: head.next is least recently used.
@@ -78,16 +138,19 @@ type Table struct {
 	Evictions uint64
 }
 
-// NewTable creates a table of nblocks physical blocks of blockSize bytes.
-// Backing storage is allocated lazily, so a large configured cache costs
-// host memory only for blocks actually touched. If home is true the blocks
-// are home blocks (no Valid tracking, storage supplied by the caller).
-func NewTable(nblocks, blockSize int, home bool) *Table {
-	if nblocks <= 0 || blockSize <= 0 {
-		panic(fmt.Sprintf("memblock: invalid table %d x %d", nblocks, blockSize))
+// NewTable creates a table of nblocks physical blocks of blockSize bytes,
+// stored in pages of pageSize bytes (the sub-block size, which must divide
+// blockSize). Storage is allocated lazily, one page at a time, so a large
+// configured cache costs host memory only for the sub-blocks actually
+// touched. If home is true the blocks are home blocks (no Valid tracking,
+// storage supplied by the caller).
+func NewTable(nblocks, blockSize, pageSize int, home bool) *Table {
+	if nblocks <= 0 || blockSize <= 0 || pageSize <= 0 || blockSize%pageSize != 0 {
+		panic(fmt.Sprintf("memblock: invalid table %d x %d in %d-byte pages", nblocks, blockSize, pageSize))
 	}
 	t := &Table{
 		blockSize: blockSize,
+		pageSize:  pageSize,
 		home:      home,
 		byID:      make(map[int64]*Block),
 		nblocks:   nblocks,
@@ -137,7 +200,7 @@ func (t *Table) Acquire(id int64) (blk *Block, evicted *Block, err error) {
 	if t.allocated < t.nblocks {
 		b = &Block{ID: -1, table: t}
 		if !t.home {
-			b.Data = make([]byte, t.blockSize)
+			b.pages = make([][]byte, t.blockSize/t.pageSize)
 		}
 		t.allocated++
 		t.insertTail(b)

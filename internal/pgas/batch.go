@@ -144,9 +144,9 @@ func (l *Local) issueRuns() []int {
 }
 
 // putRuns writes one merged group of adjacent runs (n total bytes) home as
-// a single nonblocking Put. Multi-run groups stage through a reusable
-// host-side buffer; the copy is bookkeeping, not simulated work. Each
-// run's dirty interval is cleared here, at the Put's copy instant (rma.Put
+// a single nonblocking Put, gathered from the blocks' pages into the
+// staging buffer; the copy is bookkeeping, not simulated work. Each run's
+// dirty interval is cleared here, at the Put's copy instant (rma.Put
 // copies host bytes before charging time): a node-mate sharing the cache
 // can check in new dirty bytes while the Put's time charge runs, and a
 // deferred subtract of the stale gathered intervals would silently clear
@@ -155,21 +155,13 @@ func (l *Local) putRuns(group []wbRun, n int) {
 	s := l.space
 	bs := uint64(s.cfg.BlockSize)
 	win := group[0].win
-	var src []byte
-	if len(group) == 1 {
-		r := group[0]
-		b0 := uint64(r.cb.ID) * bs
-		src = r.cb.Data[r.iv.Lo-b0 : r.iv.Hi-b0]
-	} else {
-		if cap(l.wbStage) < n {
-			l.wbStage = make([]byte, n)
-		}
-		src = l.wbStage[:n]
-		off := 0
-		for _, r := range group {
-			b0 := uint64(r.cb.ID) * bs
-			off += copy(src[off:], r.cb.Data[r.iv.Lo-b0:r.iv.Hi-b0])
-		}
+	src := l.stage(n)
+	off := 0
+	for _, r := range group {
+		r.cb.ReadAt(src[off:off+int(r.iv.Len())], int(r.iv.Lo-uint64(r.cb.ID)*bs))
+		off += int(r.iv.Len())
+	}
+	if len(group) > 1 {
 		s.Batch.WBRunsMerged += uint64(len(group) - 1)
 		s.Batch.WBCoalescedBytes += uint64(n)
 	}
@@ -219,10 +211,12 @@ func (l *Local) writeBackCoalesced() bool {
 	return true
 }
 
-// pfBlock is one cache block filled by a batched prefetch Get.
+// pfBlock is one cache block filled by a batched prefetch Get: the block,
+// the lookahead block ID it was acquired for, and the bytes it takes.
 type pfBlock struct {
-	cb *memblock.Block
-	n  uint64
+	cb  *memblock.Block
+	bid int64
+	iv  region.Interval // global addresses
 }
 
 // prefetch speculatively fetches up to Config.PrefetchBlocks lookahead
@@ -233,6 +227,15 @@ type pfBlock struct {
 // noncollective memory, at the currently grown segment), stops at
 // distribution-chunk boundaries, at already-cached blocks (keeping the Get
 // contiguous), and at any cache-pressure Acquire failure.
+//
+// The acquire loop charges virtual time (mmaps, per-block lookups, the
+// shared-table lock), and under a node-shared cache a node-mate can run
+// inside it. So no block is marked valid until the Get's copy instant —
+// a block valid before its bytes land would serve zeros to a node-mate's
+// checkout — and the batch stops before the first block a node-mate
+// touched in the meantime (any Valid or Dirty bytes): landing speculative
+// home bytes there could overwrite its fresher data. Private caches have
+// no node-mate, so their batches never stop early.
 func (l *Local) prefetch(a *allocation, g0 Addr, homeRank int, win *rma.Win, segOff0 int) {
 	s := l.space
 	bs := uint64(s.cfg.BlockSize)
@@ -247,7 +250,6 @@ func (l *Local) prefetch(a *allocation, g0 Addr, homeRank int, win *rma.Win, seg
 		}
 	}
 	l.pfBlks = l.pfBlks[:0]
-	total := 0
 	for k := 1; k <= s.cfg.PrefetchBlocks; k++ {
 		g := g0 + Addr(uint64(k))*stride
 		if g >= limit {
@@ -288,25 +290,37 @@ func (l *Local) prefetch(a *allocation, g0 Addr, homeRank int, win *rma.Win, seg
 		}
 		l.rank.Proc().Advance(costCheckoutBlock)
 		cb.Prefetched = true
-		cb.Valid.Add(region.Interval{Lo: uint64(g), Hi: uint64(hi)})
-		l.pfBlks = append(l.pfBlks, pfBlock{cb: cb, n: uint64(hi - g)})
-		total += int(hi - g)
+		l.pfBlks = append(l.pfBlks, pfBlock{cb: cb, bid: bid, iv: region.Interval{Lo: uint64(g), Hi: uint64(hi)}})
 		if hi < g+Addr(bs) {
 			break // partial tail block ends the run
+		}
+	}
+	// From here to the Get's copy no virtual time passes.
+	l.getPages = l.getPages[:0]
+	total := 0
+	for i, pb := range l.pfBlks {
+		if !pb.cb.Valid.Empty() || !pb.cb.Dirty.Empty() {
+			for _, drop := range l.pfBlks[i:] {
+				if drop.cb.ID == drop.bid {
+					drop.cb.Prefetched = false
+				}
+			}
+			l.pfBlks = l.pfBlks[:i]
+			break
+		}
+		l.getPages = pb.cb.Span(l.getPages, 0, int(pb.iv.Len()))
+		total += int(pb.iv.Len())
+		// A block recycled within the loop (by this rank's own later
+		// Acquire) still takes its bytes, keeping the Get's size, but is
+		// no longer this identity and is not marked valid for it.
+		if pb.cb.ID == pb.bid {
+			pb.cb.Valid.Add(pb.iv)
 		}
 	}
 	if total == 0 {
 		return
 	}
-	if cap(l.pfStage) < total {
-		l.pfStage = make([]byte, total)
-	}
-	stage := l.pfStage[:total]
-	win.Get(l.rank, homeRank, segOff0+int(bs), stage)
-	off := 0
-	for _, pb := range l.pfBlks {
-		off += copy(pb.cb.Data[:pb.n], stage[off:])
-	}
+	win.GetV(l.rank, homeRank, segOff0+int(bs), l.getPages)
 	s.Batch.PrefetchOps++
 	s.Batch.PrefetchedBlocks += uint64(len(l.pfBlks))
 	s.Batch.PrefetchBytes += uint64(total)

@@ -40,24 +40,28 @@ type Local struct {
 	viewPool  [][]byte
 	piecePool [][]piece
 
-	// Write-back coalescing scratch (Config.CoalesceWriteBack): gathered
-	// dirty runs, the staging buffer merged multi-run Puts ship from, and
-	// the written-target list a release flushes rank by rank. Reused
-	// across write-backs; all host-side bookkeeping.
+	// Write-back scratch: gathered dirty runs (Config.CoalesceWriteBack),
+	// the staging buffer every write-back Put ships from (a cache block's
+	// pages are not contiguous), and the written-target list a release
+	// flushes rank by rank. Reused across write-backs; all host-side
+	// bookkeeping.
 	wbRuns    []wbRun
 	wbStage   []byte
 	wbTargets []int
 
+	// getPages is scratch for the destination page slices of one
+	// vectored fetch or prefetch Get.
+	getPages [][]byte
+
 	// Prefetch state (Config.PrefetchBlocks): the last block ID this rank
 	// checked out through the cache path and the length of the current
-	// ascending run, plus scratch for the blocks and bytes of one batched
-	// lookahead Get. pfCredit is the confidence counter gating
-	// speculation (see the constants in batch.go).
+	// ascending run, plus scratch for the blocks of one batched lookahead
+	// Get. pfCredit is the confidence counter gating speculation (see the
+	// constants in batch.go).
 	lastBid  int64
 	runLen   int
 	pfCredit int
 	pfBlks   []pfBlock
-	pfStage  []byte
 
 	// ProfCategory, when non-empty, redirects the time of subsequent
 	// checkout/checkin calls to the named profiler category instead of
@@ -186,7 +190,7 @@ type piece struct {
 	g Addr // global address of the piece start
 	n int  // length in bytes
 
-	// Cache path: cb holds the bytes at cb.Data[g - blockBase].
+	// Cache path: cb holds the bytes at block offset g - blockBase.
 	cb        *memblock.Block
 	blockBase Addr
 
@@ -378,15 +382,17 @@ func (l *Local) Checkout(addr Addr, size uint64, mode Mode) ([]byte, error) {
 			// bytes before charging time, so Add-then-Get validates the
 			// bytes atomically in virtual time, and a concurrent
 			// invalidation during the Get's time charge correctly strips
-			// the just-added validity again.
+			// the just-added validity again. The Get lands straight in the
+			// block's pages.
 			for {
 				m, ok := cb.Valid.FirstMissing(padded)
 				if !ok {
 					break
 				}
-				dst := cb.Data[m.Lo-uint64(g0) : m.Hi-uint64(g0)]
+				off := int(m.Lo - uint64(g0))
+				l.getPages = cb.Span(l.getPages[:0], off, int(m.Len()))
 				cb.Valid.Add(m)
-				win.Get(l.rank, homeRank, segOff0+int(m.Lo-uint64(g0)), dst)
+				win.GetV(l.rank, homeRank, segOff0+off, l.getPages)
 				s.Stats.FetchOps++
 				s.Stats.FetchBytes += m.Len()
 				s.Profile.CheckoutMiss(me, m.Len())
@@ -494,16 +500,15 @@ func (l *Local) acquireCacheBlock(bid int64) (*memblock.Block, error) {
 func (l *Local) copyPieces(pieces []piece, view []byte, addr Addr, toBacking bool) {
 	for _, p := range pieces {
 		v := view[p.g-addr : Addr(int(p.g-addr)+p.n)]
-		var backing []byte
-		if p.cb != nil {
-			backing = p.cb.Data[p.g-p.blockBase : Addr(int(p.g-p.blockBase)+p.n)]
-		} else {
-			backing = p.win.Seg(p.homeRank)[p.segOff : p.segOff+p.n]
-		}
-		if toBacking {
-			copy(backing, v)
-		} else {
-			copy(v, backing)
+		switch {
+		case p.cb != nil && toBacking:
+			p.cb.WriteAt(v, int(p.g-p.blockBase))
+		case p.cb != nil:
+			p.cb.ReadAt(v, int(p.g-p.blockBase))
+		case toBacking:
+			copy(p.win.Seg(p.homeRank)[p.segOff:p.segOff+p.n], v)
+		default:
+			copy(v, p.win.Seg(p.homeRank)[p.segOff:p.segOff+p.n])
 		}
 	}
 }
@@ -631,7 +636,8 @@ func (l *Local) putDirtyInterval(cb *memblock.Block, iv region.Interval) {
 		panic(fmt.Sprintf("pgas: dirty interval %v outside allocations: %v", iv, err))
 	}
 	homeRank, win, segOff0 := s.blockHome(a, g0)
-	src := cb.Data[iv.Lo-uint64(g0) : iv.Hi-uint64(g0)]
+	src := l.stage(int(iv.Len()))
+	cb.ReadAt(src, int(iv.Lo-uint64(g0)))
 	win.Put(l.rank, src, homeRank, segOff0+int(iv.Lo-uint64(g0)))
 	s.Stats.WriteBackOps++
 	s.Stats.WriteBackBytes += iv.Len()
@@ -642,6 +648,16 @@ func (l *Local) putDirtyInterval(cb *memblock.Block, iv region.Interval) {
 	if v := s.val; v != nil {
 		v.markHomed(iv.Lo, iv.Hi, l.rank.Proc().Now())
 	}
+}
+
+// stage returns the n-byte write-back staging buffer. A Put ships from it
+// right after the gather: no virtual time passes between the two, so the
+// staged bytes are exactly the block bytes at the Put's copy instant.
+func (l *Local) stage(n int) []byte {
+	if cap(l.wbStage) < n {
+		l.wbStage = make([]byte, n)
+	}
+	return l.wbStage[:n]
 }
 
 // getInto reads [addr, addr+len(dst)) from home memory into dst — the

@@ -11,7 +11,7 @@ import (
 )
 
 // testCluster runs body once per rank under the simulator.
-func testCluster(t *testing.T, nranks, coresPerNode int, cfg Config, body func(l *Local)) *Space {
+func testCluster(t testing.TB, nranks, coresPerNode int, cfg Config, body func(l *Local)) *Space {
 	t.Helper()
 	e := sim.NewEngine()
 	c := rma.New(e, nranks, netmodel.Default(coresPerNode))
@@ -570,4 +570,49 @@ func TestMmapCostsCharged(t *testing.T) {
 	if s.Stats.Mmaps == 0 {
 		t.Fatal("no mmap charged for first-time cache block mapping")
 	}
+}
+
+func TestRecycledCacheBlockServesNoStaleBytes(t *testing.T) {
+	// A one-block cache: rank 1 reads all of block A (1s), then one
+	// sub-block of block B (2s), which recycles A's storage for B. The
+	// recycled pages still hold A's bytes in B's other sub-blocks, so a
+	// full checkout of B must fetch them rather than serve the 1s.
+	cfg := smallCfg(WriteBack)
+	cfg.CacheSize = cfg.BlockSize
+	const bs = 256
+	testCluster(t, 2, 1, cfg, func(l *Local) {
+		if l.Rank().ID() == 0 {
+			shared[4] = l.AllocLocal(2 * bs)
+			v, _ := l.Checkout(shared[4], 2*bs, Write)
+			for i := range v {
+				v[i] = byte(1 + i/bs)
+			}
+			l.Checkin(shared[4], 2*bs, Write)
+			l.Rank().Barrier()
+			l.Rank().Barrier()
+			return
+		}
+		l.Rank().Barrier()
+		check := func(addr Addr, size uint64, want byte) {
+			v, err := l.Checkout(addr, size, Read)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, b := range v {
+				if b != want {
+					t.Fatalf("byte %d of [%#x,+%d) = %d, want %d", i, addr, size, b, want)
+				}
+			}
+			l.Checkin(addr, size, Read)
+		}
+		a, b := shared[4], shared[4]+bs
+		check(a, bs, 1)
+		check(b, 64, 2)
+		if l.cache.Peek(int64(a/bs)) != nil {
+			t.Fatal("block A still cached in a one-block cache")
+		}
+		check(b, bs, 2)
+		check(a, bs, 1)
+		l.Rank().Barrier()
+	})
 }

@@ -186,7 +186,7 @@ func New(comm *rma.Comm, cfg Config, pr *prof.Profiler) *Space {
 	nodeCaches := make(map[int]*memblock.Table)
 	for i := 0; i < n; i++ {
 		s.ncNext[i] = ncBase + Addr(i)*ncSpan
-		cache := memblock.NewTable(cacheBlocks, cfg.BlockSize, false)
+		cache := memblock.NewTable(cacheBlocks, cfg.BlockSize, cfg.SubBlockSize, false)
 		if cfg.SharedCache {
 			node := comm.Net().Node(i)
 			if t, ok := nodeCaches[node]; ok {
@@ -199,7 +199,7 @@ func New(comm *rma.Comm, cfg Config, pr *prof.Profiler) *Space {
 			space:    s,
 			rank:     comm.Rank(i),
 			cache:    cache,
-			home:     memblock.NewTable(cfg.MaxHomeBlocks, cfg.BlockSize, true),
+			home:     memblock.NewTable(cfg.MaxHomeBlocks, cfg.BlockSize, cfg.SubBlockSize, true),
 			pfCredit: pfInitCredit,
 		}
 		// A pseudo-allocation per rank describing its noncollective region

@@ -252,8 +252,9 @@ func TestBarrierWithStraggler(t *testing.T) {
 
 // TestFaultFreeHotPathZeroAllocs pins the zero-overhead-when-off claim at
 // the allocation level: with no injector armed, the retry/perturbation
-// hooks on Put/Flush and the atomics are single nil-checks and must not
-// allocate per operation.
+// hooks on Put/Get/Flush and the atomics are single nil-checks and must
+// not allocate per operation — and neither does a one-slice Get, the
+// vectored GetV's common case.
 func TestFaultFreeHotPathZeroAllocs(t *testing.T) {
 	run := func(ops int) {
 		e := sim.NewEngine()
@@ -267,6 +268,7 @@ func TestFaultFreeHotPathZeroAllocs(t *testing.T) {
 				if r.ID() == 0 {
 					for j := 0; j < ops; j++ {
 						w.Put(r, buf, 1, 0)
+						w.Get(r, 1, 64, buf)
 						r.Flush()
 						w.FetchAndAdd(r, 1, 128, 1)
 					}

@@ -418,26 +418,28 @@ func (r *Rank) retryFaults(target int) {
 // sdcWire models silent wire corruption of one bulk transfer and, when
 // the end-to-end payload checksum is armed (SetSDCVerify), the
 // detect-and-retransmit recovery loop. src is the intact source of the
-// payload and landed the bytes the transfer materialized (the window
-// segment for a Put, the caller's dst for a Get); the two alias distinct
-// memory, so src always holds clean bytes to retransmit from. Each
-// retransmission draws a fresh corruption decision — a retransmit can
-// itself be corrupted — and re-charges the full issue cost (including
+// payload and landed the bytes the transfer materialized, in order (the
+// window segment for a Put, the caller's destination slices for a Get);
+// the two alias distinct memory, so src always holds clean bytes to
+// retransmit from. One corruption decision covers the whole payload, and
+// the flipped bit lands in whichever slice holds it. Each retransmission
+// draws a fresh corruption decision — a retransmit can itself be
+// corrupted — and re-charges the full issue cost (including
 // transient-failure retries). Without an armed wire-corruption stream
 // this is two cheap checks, keeping an SDC-free plan digest-identical to
 // one with no Corruption at all.
-func (r *Rank) sdcWire(src, landed []byte, target int) {
+func (r *Rank) sdcWire(src []byte, landed [][]byte, target int) {
 	in := r.c.inj
 	if in == nil || target == r.id || !in.WireArmed() {
 		return
 	}
 	for attempt := 1; ; attempt++ {
-		bit, ok := in.CorruptWire(r.proc.Now(), r.id, target, len(landed))
+		bit, ok := in.CorruptWire(r.proc.Now(), r.id, target, len(src))
 		if !ok {
 			return
 		}
 		r.sdcFlips++
-		landed[bit>>3] ^= 1 << (bit & 7)
+		flipBit(landed, bit)
 		if r.c.sdcReplays <= 0 {
 			// No checksum armed: the flip lands silently and the program
 			// computes on corrupted bytes.
@@ -450,9 +452,30 @@ func (r *Rank) sdcWire(src, landed []byte, target int) {
 			panic(fmt.Errorf("%w: rank %d transfer to rank %d corrupted %d times under plan %q",
 				ErrSdcUnrecoverable, r.id, target, attempt, in.Plan().Name))
 		}
-		copy(landed, src)
-		r.issue(target, len(landed))
+		scatter(landed, src)
+		r.issue(target, len(src))
 		r.sdcRetrans++
+	}
+}
+
+// flipBit flips bit (counted from the start of the concatenated payload)
+// in whichever slice of landed holds it.
+func flipBit(landed [][]byte, bit uint64) {
+	i := int(bit >> 3)
+	for _, d := range landed {
+		if i < len(d) {
+			d[i] ^= 1 << (bit & 7)
+			return
+		}
+		i -= len(d)
+	}
+}
+
+// scatter copies src across the slices of dst in order.
+func scatter(dst [][]byte, src []byte) {
+	n := 0
+	for _, d := range dst {
+		n += copy(d, src[n:])
 	}
 }
 
@@ -733,18 +756,30 @@ func (w *Win) check(target, off, n int) {
 }
 
 // Get starts a nonblocking read of len(dst) bytes from target's segment at
-// off into dst. The data is guaranteed valid after the next Flush. Bulk
-// payloads are subject to wire corruption under an armed Corruption plan
-// (the segment stays intact; only dst is flipped, and the checksum
-// retransmits from the segment).
+// off into dst. It is GetV with one destination slice.
 func (w *Win) Get(r *Rank, target, off int, dst []byte) {
-	w.check(target, off, len(dst))
-	copy(dst, w.segs[target][off:])
-	r.issue(target, len(dst))
-	r.sdcWire(w.segs[target][off:off+len(dst)], dst, target)
+	w.GetV(r, target, off, [][]byte{dst})
+}
+
+// GetV starts one nonblocking read of the concatenated length of dst from
+// target's segment at off, scattering the bytes across the dst slices in
+// order — a single RMA op however many slices it fills. The bytes are
+// copied at the issue instant and guaranteed valid after the next Flush.
+// Bulk payloads are subject to wire corruption under an armed Corruption
+// plan (the segment stays intact; only dst is flipped, and the checksum
+// retransmits from the segment).
+func (w *Win) GetV(r *Rank, target, off int, dst [][]byte) {
+	n := 0
+	for _, d := range dst {
+		n += len(d)
+	}
+	w.check(target, off, n)
+	scatter(dst, w.segs[target][off:off+n])
+	r.issue(target, n)
+	r.sdcWire(w.segs[target][off:off+n], dst, target)
 	r.getOps++
-	r.getBytes += uint64(len(dst))
-	r.c.prof.RMA(r.id, target, profile.OpGet, len(dst))
+	r.getBytes += uint64(n)
+	r.c.prof.RMA(r.id, target, profile.OpGet, n)
 }
 
 // Put starts a nonblocking write of src into target's segment at off.
@@ -761,7 +796,7 @@ func (w *Win) put(r *Rank, src []byte, target, off int, corruptible bool) {
 	copy(w.segs[target][off:], src)
 	r.issue(target, len(src))
 	if corruptible {
-		r.sdcWire(src, w.segs[target][off:off+len(src)], target)
+		r.sdcWire(src, [][]byte{w.segs[target][off : off+len(src)]}, target)
 	}
 	r.putOps++
 	r.putBytes += uint64(len(src))
